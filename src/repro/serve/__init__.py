@@ -61,7 +61,8 @@ Layering: :mod:`~repro.serve.frontend` is transport-independent pure
 asyncio; :mod:`~repro.serve.jobs` adds the durable queue on top of the
 front end's executor; :mod:`~repro.serve.server` puts a JSON-lines TCP
 protocol in front of both; :mod:`~repro.serve.router` shards that
-protocol across backends; :mod:`~repro.serve.cli` is the
+protocol across backends; both run on the one connection loop of
+:mod:`~repro.serve.endpoint`; :mod:`~repro.serve.cli` is the
 ``repro serve`` / ``repro loadtest`` argument surface,
 :mod:`~repro.serve.cluster` the ``repro cluster-serve`` one and
 :mod:`~repro.serve.jobs_cli` the ``repro jobs`` one.

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import json
-import signal
 from pathlib import Path
 
 from repro.cli import jobs_count
@@ -251,10 +249,7 @@ async def _serve(
         advertise_host=advertise_host,
     )
     await server.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, ValueError):
-            loop.add_signal_handler(sig, server.request_shutdown)
+    server.shutdown_on_signals()
     recovered = ""
     if server.recovered is not None and server.recovered["restored"]:
         recovered = (

@@ -55,7 +55,7 @@ from repro.serve.router import (
     HashRing,
     route_key,
 )
-from repro.serve.wire import DecodeMemo, EncodeMemo, SyncWireClient
+from repro.serve.wire import DecodeMemo, EncodeMemo
 
 
 def request_once(
@@ -63,21 +63,15 @@ def request_once(
     port: int,
     doc: dict[str, Any],
     timeout_s: float = 30.0,
-    wire: str = "json",
 ) -> dict[str, Any]:
-    """One op, one connection, one matched response (synchronous).
+    """One op, one connection, one matched JSON-lines response
+    (synchronous).
 
     The shared client primitive for one-shot CLI tools (``repro jobs``)
     and scripts: job ops are cheap and stateless per connection, so
-    holding a socket buys nothing.  ``wire="binary"`` negotiates
-    ``binary1`` first (one extra round-trip; a server that declines
-    leaves the exchange on JSON-lines).
+    holding a socket buys nothing.
     """
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        if wire == "binary":
-            client = SyncWireClient(sock)
-            client.negotiate()
-            return client.request({**doc, "id": 1})
         sock.sendall((json.dumps({**doc, "id": 1}) + "\n").encode())
         with sock.makefile("r", encoding="utf-8") as fh:
             line = fh.readline()

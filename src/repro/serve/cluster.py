@@ -36,7 +36,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import signal
 import socket
 import subprocess
 import sys
@@ -249,10 +248,7 @@ async def _run_router(
         advertise_host=args.advertise_host,
     )
     await router.start()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        with contextlib.suppress(NotImplementedError, ValueError):
-            loop.add_signal_handler(sig, router.request_shutdown)
+    router.shutdown_on_signals()
     addresses = " ".join(f"{b.name}={b.host}:{b.port}" for b in backends)
     print(
         f"repro cluster-serve: listening on {router.host}:{router.port} "

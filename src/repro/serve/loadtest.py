@@ -27,8 +27,9 @@ scaling entries are built from.
 from __future__ import annotations
 
 import asyncio
-import json
+import contextlib
 import random
+from collections.abc import Awaitable, Callable
 from typing import Any
 
 from repro.serve.frontend import percentile
@@ -74,20 +75,26 @@ def build_workload(
     return workload
 
 
-async def _connect(
-    host: str, port: int
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+async def _retry(connect: Callable[[], Awaitable[Any]], what: str) -> Any:
     last: Exception | None = None
     for _ in range(CONNECT_RETRIES):
         try:
-            return await asyncio.open_connection(host, port)
+            return await connect()
         except OSError as exc:
             last = exc
             await asyncio.sleep(CONNECT_DELAY_S)
     raise ConnectionError(
-        f"could not connect to {host}:{port} after "
-        f"{CONNECT_RETRIES * CONNECT_DELAY_S:.0f} s"
+        f"could not {what} after {CONNECT_RETRIES * CONNECT_DELAY_S:.0f} s"
     ) from last
+
+
+async def _connect(
+    host: str, port: int
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    return await _retry(
+        lambda: asyncio.open_connection(host, port),
+        f"connect to {host}:{port}",
+    )
 
 
 async def request_shutdown(host: str, port: int) -> None:
@@ -97,70 +104,155 @@ async def request_shutdown(host: str, port: int) -> None:
     await writer.drain()
     await reader.readline()  # the ack
     writer.close()
-    try:
+    with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
         await writer.wait_closed()
-    except (ConnectionResetError, BrokenPipeError, OSError):
-        pass
 
 
-async def run_loadtest_direct(
+class _ConnectionTarget:
+    """One connection to ``host:port``: each request is written with
+    its index as the id, and a reader task resolves the matching
+    future.  A connection lost mid-run is never re-opened — every
+    outstanding request fails as an error instead."""
+
+    def __init__(self, conn: WireConnection, n_requests: int) -> None:
+        loop = asyncio.get_running_loop()
+        self.conn = conn
+        self._waiting = {rid: loop.create_future() for rid in range(n_requests)}
+        self.outcomes = list(self._waiting.values())
+        self._reader = loop.create_task(self._read_responses())
+
+    async def issue(self, rid: int, kind: str, params: dict[str, Any]) -> None:
+        try:
+            self.conn.write_request(
+                {"op": "query", "id": rid, "kind": kind, "params": params}
+            )
+            await self.conn.drain()
+        except OSError as exc:
+            # The never-sent requests (and any sent-but-unanswered
+            # ones) fail as errors in the report instead of hanging
+            # the gather; re-raised so the arrival loop stops.
+            self._fail(exc)
+            raise
+
+    def _fail(self, exc: Exception) -> None:
+        """Resolve every unanswered request as a connection error.
+
+        Pre-fix, a connection dropped mid-run left these futures
+        unresolved forever: ``writer.drain()`` raising aborted the
+        arrival loop before the gather, and a readline *exception* (an
+        RST is ``ConnectionResetError``, not a clean EOF) killed the
+        reader without failing anything — so the gather waited on
+        futures nobody would ever resolve.
+        """
+        for fut in self._waiting.values():
+            if not fut.done():
+                fut.set_exception(
+                    ConnectionError(f"connection lost mid-run: {exc}")
+                )
+        self._waiting.clear()
+
+    async def _read_responses(self) -> None:
+        try:
+            while self._waiting:
+                doc = await self.conn.recv()
+                if doc is None:
+                    self._fail(ConnectionError("server hung up"))
+                    return
+                fut = self._waiting.pop(doc.get("id"), None)
+                if fut is not None and not fut.done():
+                    fut.set_result(doc)
+        except (OSError, WireError, BadFrame) as exc:
+            self._fail(exc)
+
+    async def close(self) -> dict[str, Any]:
+        self._reader.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await self._reader
+        self.conn.writer.close()
+        with contextlib.suppress(ConnectionResetError, BrokenPipeError, OSError):
+            await self.conn.writer.wait_closed()
+        # What the connection actually spoke after negotiation — "json"
+        # even under wire="binary" when the server declined.
+        return {"wire": self.conn.wire}
+
+
+class _RingTarget:
+    """A :class:`~repro.serve.client.RingClient`: each request is a
+    query task straight to its key's home shard (router fallback on
+    trouble)."""
+
+    def __init__(self, client: Any) -> None:
+        self.client = client
+        self.outcomes: list[asyncio.Task] = []
+
+    async def issue(self, rid: int, kind: str, params: dict[str, Any]) -> None:
+        self.outcomes.append(asyncio.get_running_loop().create_task(
+            self.client.query(kind, params)
+        ))
+
+    async def close(self) -> dict[str, Any]:
+        await self.client.close()
+        return {"direct_queries": self.client.direct_queries,
+                "router_fallbacks": self.client.router_fallbacks}
+
+
+async def _drive(
     host: str,
     port: int,
     workload: list[tuple[str, dict[str, Any]]],
     rate: float,
-    arrival_seed: int = 1,
-    wire: str = "json",
-) -> dict[str, Any]:
-    """The direct data path: one :class:`~repro.serve.client.RingClient`
-    learns the topology from the router at ``host:port`` once, then
-    drives ``workload`` at Poisson ``rate`` straight at each key's home
-    shard (router fallback on trouble).  Same report shape as
-    :func:`run_loadtest` plus the client's routing counters."""
-    from repro.serve.client import RingClient
+    arrival_seed: int,
+    wire: str,
+    memos: tuple[EncodeMemo, DecodeMemo] | None,
+    direct: bool,
+) -> tuple[list[Any], float, float, dict[str, Any]]:
+    """Issue ``workload`` to one target at Poisson ``rate`` and collect
+    every outcome; returns ``(raw outcomes, send_wall_s, wall_s, the
+    target's counters)``."""
+    target: _ConnectionTarget | _RingTarget
+    if direct:
+        from repro.serve.client import RingClient
 
-    client = RingClient(host, port, wire=wire)
-    last: Exception | None = None
-    for _ in range(CONNECT_RETRIES):
-        try:
-            await client.connect()
-            break
-        except (ConnectionError, OSError) as exc:
-            last = exc
-            await asyncio.sleep(CONNECT_DELAY_S)
+        client = RingClient(host, port, wire=wire)
+        await _retry(client.connect, f"learn the topology from {host}:{port}")
+        target = _RingTarget(client)
     else:
-        raise ConnectionError(
-            f"could not learn the topology from {host}:{port}"
-        ) from last
-
+        reader, writer = await _connect(host, port)
+        encode_memo, decode_memo = memos if memos is not None else (None, None)
+        conn = WireConnection(
+            reader, writer, allow_binary=False,
+            encode_memo=encode_memo, decode_memo=decode_memo,
+        )
+        if wire == "binary":
+            await conn.negotiate()
+        target = _ConnectionTarget(conn, len(workload))
     loop = asyncio.get_running_loop()
-    rng = random.Random(arrival_seed)
-    tasks: list[asyncio.Task] = []
+    rng = random.Random(arrival_seed)  # arrival process, own stream
     t_start = loop.time()
     t_next = t_start
-    for kind, params in workload:
-        delay = t_next - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        # Open-loop like the proxied path: fire-and-collect, the
-        # arrival schedule never waits on a response.
-        tasks.append(loop.create_task(client.query(kind, params)))
-        t_next += rng.expovariate(rate)
+    try:
+        for rid, (kind, params) in enumerate(workload):
+            delay = t_next - loop.time()
+            if delay > 0:
+                await asyncio.sleep(delay)
+            # Fire-and-collect: the schedule never waits on a response.
+            await target.issue(rid, kind, params)
+            t_next += rng.expovariate(rate)
+    except OSError:
+        pass  # the connection target has failed what was outstanding
+    # The arrival process's realized duration: a Poisson schedule's
+    # gap sum deviates noticeably from n/rate at small n, so capacity
+    # judgements (run_saturation) compare against the rate actually
+    # offered, not the nominal one.
     send_wall_s = loop.time() - t_start
-    responses = await asyncio.gather(*tasks, return_exceptions=True)
+    outcomes = await asyncio.gather(*target.outcomes, return_exceptions=True)
     wall_s = loop.time() - t_start
-    await client.close()
-
-    report = _tally(workload, responses, wall_s, send_wall_s)
-    report["direct_queries"] = client.direct_queries
-    report["router_fallbacks"] = client.router_fallbacks
-    return report
+    counters = await target.close()
+    return list(outcomes), send_wall_s, wall_s, counters
 
 
 def _tally(
-    workload: list[tuple[str, dict[str, Any]]],
-    responses: list[Any],
-    wall_s: float,
-    send_wall_s: float,
+    responses: list[Any], wall_s: float, send_wall_s: float
 ) -> dict[str, Any]:
     """Fold raw per-request outcomes into one report dict."""
     completed = rejected = errors = 0
@@ -180,7 +272,7 @@ def _tally(
         else:
             errors += 1
     return {
-        "requests": len(workload),
+        "requests": len(responses),
         "completed": completed,
         "rejected": rejected,
         "errors": errors,
@@ -197,105 +289,16 @@ async def run_loadtest(
     workload: list[tuple[str, dict[str, Any]]],
     rate: float,
     arrival_seed: int = 1,
-    wire: str = "json",
-    memos: tuple[EncodeMemo, DecodeMemo] | None = None,
 ) -> dict[str, Any]:
-    """Drive one connection through ``workload`` at Poisson ``rate``;
-    returns a report dict (raw latencies under ``latencies_s``).
-
-    ``wire="binary"`` negotiates the ``binary1`` framing first; a
-    server that declines leaves the run on JSON-lines (the report still
-    completes, which is the downgrade contract).  ``memos`` lets a
-    fleet share one codec-cache pair across its connections — the
-    workload's hot set references the same params objects in every
-    shard, so the caches compound.
-    """
-    reader, writer = await _connect(host, port)
-    encode_memo, decode_memo = memos if memos is not None else (None, None)
-    conn = WireConnection(
-        reader, writer, allow_binary=False,
-        encode_memo=encode_memo, decode_memo=decode_memo,
+    """Drive one JSON-lines connection through ``workload`` at Poisson
+    ``rate``; returns a report dict (raw latencies under
+    ``latencies_s``).  :func:`run_loadtest_fleet` is the general form
+    (several connections, ``wire=``, ``direct=``)."""
+    outcomes, send_wall_s, wall_s, counters = await _drive(
+        host, port, workload, rate, arrival_seed, "json", None, False
     )
-    if wire == "binary":
-        await conn.negotiate()
-    loop = asyncio.get_running_loop()
-    waiting: dict[int, asyncio.Future] = {
-        rid: loop.create_future() for rid in range(len(workload))
-    }
-    futures = dict(waiting)
-
-    def _fail_outstanding(exc: Exception) -> None:
-        """Resolve every unanswered request as a connection error.
-
-        Pre-fix, a connection dropped mid-run left these futures
-        unresolved forever: ``writer.drain()`` raising aborted the
-        arrival loop before the gather, and a readline *exception* (an
-        RST is ``ConnectionResetError``, not a clean EOF) killed
-        ``_read_responses`` without failing anything — so the gather
-        below waited on futures nobody would ever resolve.
-        """
-        for fut in waiting.values():
-            if not fut.done():
-                fut.set_exception(
-                    ConnectionError(f"connection lost mid-run: {exc}")
-                )
-        waiting.clear()
-
-    async def _read_responses() -> None:
-        try:
-            while waiting:
-                doc = await conn.recv()
-                if doc is None:
-                    _fail_outstanding(ConnectionError("server hung up"))
-                    return
-                fut = waiting.pop(doc.get("id"), None)
-                if fut is not None and not fut.done():
-                    fut.set_result(doc)
-        except (ConnectionError, OSError, WireError, BadFrame) as exc:
-            _fail_outstanding(exc)
-
-    reader_task = loop.create_task(_read_responses())
-
-    rng = random.Random(arrival_seed)  # arrival process, own stream
-    t_start = loop.time()
-    t_next = t_start
-    try:
-        for rid, (kind, params) in enumerate(workload):
-            delay = t_next - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            conn.write_request(
-                {"op": "query", "id": rid, "kind": kind, "params": params}
-            )
-            await conn.drain()
-            t_next += rng.expovariate(rate)
-    except (ConnectionError, OSError) as exc:
-        # The never-sent requests (and any sent-but-unanswered ones)
-        # fail as errors in the report instead of hanging the gather.
-        _fail_outstanding(exc)
-
-    # The arrival process's realized duration: a Poisson schedule's
-    # gap sum deviates noticeably from n/rate at small n, so capacity
-    # judgements (run_saturation) compare against the rate actually
-    # offered, not the nominal one.
-    send_wall_s = loop.time() - t_start
-    responses = await asyncio.gather(*futures.values(), return_exceptions=True)
-    wall_s = loop.time() - t_start
-    reader_task.cancel()
-    try:
-        await reader_task
-    except asyncio.CancelledError:
-        pass
-    writer.close()
-    try:
-        await writer.wait_closed()
-    except (ConnectionResetError, BrokenPipeError, OSError):
-        pass
-
-    report = _tally(workload, list(responses), wall_s, send_wall_s)
-    # What the connection actually spoke after negotiation — "json"
-    # even under wire="binary" when the server declined.
-    report["wire"] = conn.wire
+    report = _tally(outcomes, wall_s, send_wall_s)
+    report.update(counters)
     return report
 
 
@@ -312,12 +315,17 @@ async def run_loadtest_fleet(
     wire: str = "json",
 ) -> dict[str, Any]:
     """Split one seeded workload round-robin across ``connections``
-    concurrent clients (sharing the offered rate) and merge the reports.
+    concurrent clients (sharing the offered rate) and report on all of
+    their outcomes together.
 
-    ``direct=True`` swaps each client for a ring-aware one
-    (:func:`run_loadtest_direct`): ``host:port`` must then be the
-    *router*, which serves only topology discovery and fallback while
-    the queries flow straight to the home shards.
+    ``wire="binary"`` has each connection negotiate ``binary1`` first
+    (a server that declines leaves it on JSON-lines, reported under
+    ``wire``), the fleet sharing one codec-cache pair.  ``direct=True``
+    swaps each client for a :class:`~repro.serve.client.RingClient`:
+    ``host:port`` is then normally the *router*, which serves only
+    topology discovery and fallback while the queries flow straight to
+    the home shards; the report then carries ``direct_queries`` and
+    ``router_fallbacks``.
     """
     workload = build_workload(n_requests, seed=seed, hot_fraction=hot_fraction)
     connections = max(1, min(connections, len(workload) or 1))
@@ -327,16 +335,11 @@ async def run_loadtest_fleet(
         (EncodeMemo(), DecodeMemo())
         if wire == "binary" and not direct else None
     )
-    reports = await asyncio.gather(
+    runs = await asyncio.gather(
         *(
-            run_loadtest_direct(
-                host, port, shard, per_conn_rate,
-                arrival_seed=seed + 1 + i, wire=wire,
-            )
-            if direct else
-            run_loadtest(
-                host, port, shard, per_conn_rate,
-                arrival_seed=seed + 1 + i, wire=wire, memos=memos,
+            _drive(
+                host, port, shard, per_conn_rate, seed + 1 + i,
+                wire, memos, direct,
             )
             for i, shard in enumerate(shards)
         )
@@ -344,34 +347,19 @@ async def run_loadtest_fleet(
     if shutdown_after:
         await request_shutdown(host, port)
 
-    served: dict[str, int] = {
-        "cache": 0, "coalesced": 0, "computed": 0, "peer": 0,
-    }
-    latencies: list[float] = []
-    merged: dict[str, Any] = {
-        "requests": 0, "completed": 0, "rejected": 0, "errors": 0,
-    }
-    wall_s = 0.0
-    send_wall_s = 0.0
-    for rep in reports:
-        for key in ("requests", "completed", "rejected", "errors"):
-            merged[key] += rep[key]
+    outcomes, send_walls, walls, counters = zip(*runs)
+    report = _tally(
+        [doc for run in outcomes for doc in run], max(walls), max(send_walls)
+    )
+    latencies = report.pop("latencies_s")
+    if direct:
         for key in ("direct_queries", "router_fallbacks"):
-            if key in rep:
-                merged[key] = merged.get(key, 0) + rep[key]
-        for key, count in rep["served"].items():
-            served[key] = served.get(key, 0) + count
-        latencies.extend(rep["latencies_s"])
-        wall_s = max(wall_s, rep["wall_s"])
-        send_wall_s = max(send_wall_s, rep["send_wall_s"])
-
-    completed = merged["completed"]
-    merged.update(
-        served=served,
-        wall_s=wall_s,
-        send_wall_s=send_wall_s,
+            report[key] = sum(c[key] for c in counters)
+    served, completed = report["served"], report["completed"]
+    wall_s = report["wall_s"]
+    report.update(
         connections=connections,
-        wire=reports[0].get("wire", wire),
+        wire=counters[0].get("wire", wire),
         offered_rate_rps=rate,
         throughput_rps=completed / wall_s if wall_s > 0 else 0.0,
         hit_ratio=(
@@ -380,14 +368,14 @@ async def run_loadtest_fleet(
             if completed else 0.0
         ),
         answered_ratio=(
-            (completed + merged["rejected"]) / merged["requests"]
-            if merged["requests"] else 0.0
+            (completed + report["rejected"]) / report["requests"]
+            if report["requests"] else 0.0
         ),
     )
     if latencies:
-        merged["p50_latency_s"] = percentile(latencies, 0.50)
-        merged["p99_latency_s"] = percentile(latencies, 0.99)
-    return merged
+        report["p50_latency_s"] = percentile(latencies, 0.50)
+        report["p99_latency_s"] = percentile(latencies, 0.99)
+    return report
 
 
 async def run_saturation(

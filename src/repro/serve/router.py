@@ -54,13 +54,13 @@ import time
 from typing import Any
 
 from repro.parallel.cache import MISS
+from repro.serve.endpoint import JOB_OPS, WireEndpoint, bad_request, locate_doc
 from repro.serve.wire import (
     BadFrame,
     DecodeMemo,
     EncodeMemo,
     WireConnection,
     WireError,
-    hello_ack_doc,
 )
 
 #: Virtual nodes per backend on the ring.  64 keeps the max/min key
@@ -454,7 +454,7 @@ class CachePeerFill:
             await link.close()
 
 
-class ServeRouter:
+class ServeRouter(WireEndpoint):
     """The cluster front door; see the module docstring.
 
     :param backends: ``(name, host, port)`` per backend, in boot order
@@ -481,24 +481,21 @@ class ServeRouter:
     ) -> None:
         if not backends:
             raise ValueError("ServeRouter needs at least one backend")
-        self.backends = [
-            (name, advertised_host(bhost, advertise_host), bport)
-            for name, bhost, bport in backends
-        ]
-        self.host = host
-        self.port = port
-        self.forward_timeout_s = forward_timeout_s
-        self.binary_wire = binary_wire
-        self.backend_wire = backend_wire
-        self.epoch = topology_epoch(self.backends)
-        self.ring = HashRing([name for name, _, _ in backends], vnodes)
         # Two memo pairs, shared across all connections on each side of
         # the proxy.  Client-side decoded params are stable objects
         # (same blob -> same dict), so the link-side EncodeMemo hits on
         # the forward; link-side decoded values are stable, so the
         # client-side EncodeMemo hits on the re-framed response.
-        self._client_encode = EncodeMemo()
-        self._client_decode = DecodeMemo()
+        super().__init__(host, port, binary_wire, EncodeMemo(), DecodeMemo())
+        self.backends = [
+            (name, advertised_host(bhost, advertise_host), bport)
+            for name, bhost, bport in backends
+        ]
+        self.forward_timeout_s = forward_timeout_s
+        self.backend_wire = backend_wire
+        self.epoch = topology_epoch(self.backends)
+        self.ring = HashRing([name for name, _, _ in backends], vnodes)
+        self._addresses = {name: (h, p) for name, h, p in self.backends}
         self._link_encode = EncodeMemo()
         self._link_decode = DecodeMemo()
         self._links = {
@@ -509,10 +506,7 @@ class ServeRouter:
             )
             for name, bhost, bport in self.backends
         }
-        self._server: asyncio.Server | None = None
-        self._shutdown = asyncio.Event()
         self._draining = False
-        self._conn_tasks: set[asyncio.Task] = set()
         self._inflight = 0
         self._idle = asyncio.Event()
         self._idle.set()
@@ -522,37 +516,33 @@ class ServeRouter:
         self.located = 0         #: locate ops answered
         self.redirected = 0      #: queries answered with a redirect
         self.job_home_down = 0   #: job ops refused: job home unreachable
+        # One slow shard must not serialise a connection's traffic, so
+        # both forwarded ops get per-request tasks.  Job ops are not
+        # sharded by key: they live on the first backend, the cluster's
+        # designated job home.
+        self.task_ops = {
+            "query": self._answer_forward,
+            "probe": self._answer_forward,
+        }
+        self.inline_ops = {
+            "stats": self._answer_stats,
+            "locate": self._answer_locate,
+            **dict.fromkeys(JOB_OPS, self._forward_job),
+        }
 
     # -- lifecycle ---------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
-
-    async def serve_until_shutdown(self) -> None:
-        """Run until a ``shutdown`` op arrives, then drain the cluster:
-        stop admitting (new queries get ``overloaded``/``draining``),
-        await in-flight forwards, shut each backend down in boot order,
-        close every link and straggler connection."""
-        assert self._server is not None, "start() first"
-        await self._shutdown.wait()
+    async def _drain(self) -> None:
+        """Drain the cluster: stop admitting (new queries get
+        ``overloaded``/``draining``), await in-flight forwards, shut
+        each backend down in boot order, close every link."""
         self._draining = True
-        self._server.close()
-        await self._server.wait_closed()
+        await self._close_listener()
         await self._idle.wait()
         for name, _, _ in self.backends:
             with contextlib.suppress(Exception):
                 await self._links[name].request({"op": "shutdown"})
         for link in self._links.values():
             await link.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
 
     def _track(self, delta: int) -> None:
         self._inflight += delta
@@ -561,93 +551,7 @@ class ServeRouter:
         else:
             self._idle.clear()
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        conn = WireConnection(
-            reader, writer,
-            allow_binary=self.binary_wire,
-            encode_memo=self._client_encode,
-            decode_memo=self._client_decode,
-        )
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    req = await conn.recv()
-                except BadFrame as exc:
-                    # The frame header was sound, so the stream is
-                    # still in sync: answer and keep reading.
-                    await self._send(
-                        conn,
-                        {"id": None, "ok": False, "error": "bad_request",
-                         "detail": str(exc)},
-                    )
-                    continue
-                except WireError:
-                    break  # framing lost; only the connection can die
-                if req is None:
-                    break
-                op = req.get("op")
-                rid = req.get("id")
-                if op in ("query", "probe"):
-                    # Per-request task, as in ServeServer: one slow
-                    # shard must not serialise a connection's traffic.
-                    sub = asyncio.get_running_loop().create_task(
-                        self._answer_forward(conn, rid, req)
-                    )
-                    pending.add(sub)
-                    sub.add_done_callback(pending.discard)
-                elif op == "stats":
-                    await self._send(conn, await self._answer_stats(rid))
-                elif op == "locate":
-                    await self._send(conn, self._answer_locate(rid, req))
-                elif op in ("submit", "status", "result", "cancel"):
-                    # Job ops are not sharded by key: they live on the
-                    # first backend, the cluster's designated job home.
-                    await self._send(conn, await self._forward_job(rid, req))
-                elif op == "hello" and self.binary_wire:
-                    ack, enable = hello_ack_doc(rid, req, self.binary_wire)
-                    try:
-                        await conn.send_hello_ack(
-                            ack, enable and not conn.binary
-                        )
-                    except (ConnectionResetError, BrokenPipeError):
-                        break
-                elif op == "ping":
-                    await self._send(conn, {"id": rid, "ok": True})
-                elif op == "shutdown":
-                    await self._send(conn, {"id": rid, "ok": True})
-                    self.request_shutdown()
-                else:
-                    # With binary_wire off, "hello" lands here: the
-                    # bad_request IS the client's downgrade signal.
-                    await self._send(
-                        conn,
-                        {"id": rid, "ok": False, "error": "bad_request",
-                         "detail": f"unknown op {op!r}"},
-                    )
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        finally:
-            for sub in pending:
-                sub.cancel()
-            self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(
-                ConnectionResetError, BrokenPipeError, OSError
-            ):
-                await writer.wait_closed()
-
+    # -- ops ---------------------------------------------------------------
     async def _answer_forward(
         self,
         conn: WireConnection,
@@ -657,12 +561,9 @@ class ServeRouter:
         kind = req.get("kind")
         params = req.get("params")
         if not isinstance(kind, str) or not isinstance(params, dict):
-            await self._send(
-                conn,
-                {"id": rid, "ok": False, "error": "bad_request",
-                 "detail": f"{req.get('op')} needs a string 'kind' "
-                 "and object 'params'"},
-            )
+            await self._send(conn, bad_request(
+                rid, f"{req.get('op')} needs a string 'kind' and object 'params'"
+            ))
             return
         if self._draining:
             self.rejected_draining += 1
@@ -678,7 +579,13 @@ class ServeRouter:
             # address instead of proxying — the client connects direct
             # and the router's single process leaves the data path.
             self.redirected += 1
-            await self._send(conn, self._redirect_doc(rid, home))
+            host, port = self._addresses[home]
+            await self._send(
+                conn,
+                {"id": rid, "ok": False, "error": "redirect",
+                 "backend": home, "host": host, "port": port,
+                 "epoch": self.epoch},
+            )
             return
         doc = await self._forward(home, rid, req)
         # send_response re-frames a successful query response on the
@@ -690,37 +597,14 @@ class ServeRouter:
         except (ConnectionResetError, BrokenPipeError):
             pass
 
-    def _redirect_doc(self, rid: Any, home: str) -> dict[str, Any]:
-        host, port = next(
-            (h, p) for name, h, p in self.backends if name == home
+    async def _answer_locate(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
+        """``locate`` from the ring alone, no backend round-trip."""
+        doc = locate_doc(
+            rid, req, self.epoch, self._addresses,
+            lambda kind, params: self.ring.home(route_key(kind, params)),
         )
-        return {"id": rid, "ok": False, "error": "redirect",
-                "backend": home, "host": host, "port": port,
-                "epoch": self.epoch}
-
-    def _answer_locate(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
-        """The redirect protocol's discovery op: the full topology (and
-        epoch), plus — when the request names a key — that key's home
-        shard.  Answered from the ring alone, no backend round-trip."""
-        kind = req.get("kind")
-        params = req.get("params")
-        doc: dict[str, Any] = {
-            "id": rid, "ok": True, "epoch": self.epoch,
-            "backends": {
-                name: [host, port] for name, host, port in self.backends
-            },
-        }
-        if kind is not None or params is not None:
-            if not isinstance(kind, str) or not isinstance(params, dict):
-                return {"id": rid, "ok": False, "error": "bad_request",
-                        "detail": "locate needs a string 'kind' and "
-                        "object 'params' (or neither)"}
-            home = self.ring.home(route_key(kind, params))
-            host, port = next(
-                (h, p) for name, h, p in self.backends if name == home
-            )
-            doc.update(backend=home, host=host, port=port)
-        self.located += 1
+        if doc["ok"]:
+            self.located += 1
         return doc
 
     async def _forward_job(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
@@ -764,7 +648,7 @@ class ServeRouter:
         out["id"] = rid
         return out
 
-    async def _answer_stats(self, rid: Any) -> dict[str, Any]:
+    async def _answer_stats(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
         """Own counters + per-backend snapshots + an aggregate rollup."""
         per_backend: dict[str, Any] = {}
         agg = {
@@ -811,10 +695,3 @@ class ServeRouter:
             "stats": agg,
             "backends": per_backend,
         }
-
-    @staticmethod
-    async def _send(conn: WireConnection, doc: dict[str, Any]) -> None:
-        try:
-            await conn.send(doc)
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away

@@ -66,22 +66,17 @@ state plus a journal append, never the worker pool.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from typing import Any
 
 from repro.parallel.cache import MISS
+from repro.serve.endpoint import JOB_OPS, WireEndpoint, bad_request, locate_doc
 from repro.serve.frontend import CampaignFrontEnd, Overloaded
 from repro.serve.jobs import JobManager, JobNotReady, campaign_job_units
-from repro.serve.wire import (
-    BadFrame,
-    EncodeMemo,
-    WireConnection,
-    WireError,
-    hello_ack_doc,
-)
+from repro.serve.router import advertised_host, topology_epoch
+from repro.serve.wire import EncodeMemo, WireConnection
 
 
-class ServeServer:
+class ServeServer(WireEndpoint):
     """One listening socket wired to one front end.
 
     ``port=0`` binds an ephemeral port; the actual port is on
@@ -113,27 +108,26 @@ class ServeServer:
         binary_wire: bool = True,
         advertise_host: str | None = None,
     ) -> None:
-        self.frontend = frontend
-        self.host = host
-        self.port = port
-        self.name = name
-        self.jobs = jobs_manager
-        self.drain_timeout_s = drain_timeout_s
-        self.binary_wire = binary_wire
-        self.advertise_host = advertise_host
-        self.recovered: dict[str, int] | None = None
-        self._server: asyncio.Server | None = None
-        self._shutdown = asyncio.Event()
-        self._conn_tasks: set[asyncio.Task] = set()
         # Response-value blobs are memoised per server, not per
         # connection: the hot set is shared, so every connection reuses
         # the same encodings.
-        self._encode_memo = EncodeMemo()
+        super().__init__(host, port, binary_wire, EncodeMemo())
+        self.frontend = frontend
+        self.name = name
+        self.jobs = jobs_manager
+        self.drain_timeout_s = drain_timeout_s
+        self.advertise_host = advertise_host
+        self.recovered: dict[str, int] | None = None
+        self.task_ops = {"query": self._answer_query}
+        self.inline_ops = {
+            "stats": self._answer_stats,
+            "probe": self._answer_probe,
+            "locate": self._answer_locate,
+            **dict.fromkeys(JOB_OPS, self._answer_job),
+        }
 
     async def start(self) -> None:
         if self.advertise_host is None:
-            from repro.serve.router import advertised_host
-
             self.advertise_host = advertised_host(self.host)
         await self.frontend.start()
         if self.jobs is not None:
@@ -142,22 +136,15 @@ class ServeServer:
             # state, and recovered jobs re-enter dispatch immediately.
             self.recovered = self.jobs.recover()
             await self.jobs.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await super().start()
 
-    async def serve_until_shutdown(self) -> None:
-        """Run until a ``shutdown`` op arrives, then drain gracefully:
-        stop accepting connections, park incomplete jobs in the journal
-        (they are durable — a restart resumes them), resolve every
-        accepted query, answer any stragglers on open connections,
-        close.  ``drain_timeout_s`` bounds each drain stage instead of
-        letting a slow batch hold shutdown hostage."""
-        assert self._server is not None, "start() first"
-        await self._shutdown.wait()
-        self._server.close()
-        await self._server.wait_closed()
+    async def _drain(self) -> None:
+        """Stop accepting connections, park incomplete jobs in the
+        journal (they are durable — a restart resumes them), resolve
+        every accepted query, close.  ``drain_timeout_s`` bounds each
+        drain stage instead of letting a slow batch hold shutdown
+        hostage."""
+        await self._close_listener()
         if self.jobs is not None:
             await self.jobs.drain(self.drain_timeout_s)
         await self.frontend.drain(self.drain_timeout_s)
@@ -166,122 +153,20 @@ class ServeServer:
         peer_fill = getattr(self.frontend, "peer_fill", None)
         if peer_fill is not None:
             await peer_fill.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
 
-    def request_shutdown(self) -> None:
-        self._shutdown.set()
+    async def _answer_stats(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
+        doc = {
+            "id": rid, "ok": True,
+            "stats": self.frontend.stats.snapshot(),
+            "queue_depth": self.frontend.queue_depth,
+            "draining": self.frontend.draining,
+        }
+        if self.jobs is not None:
+            doc["jobs"] = dict(self.jobs.totals)
+        return doc
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None
-        self._conn_tasks.add(task)
-        conn = WireConnection(
-            reader, writer,
-            allow_binary=self.binary_wire,
-            encode_memo=self._encode_memo,
-        )
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    req = await conn.recv()
-                except BadFrame as exc:
-                    # One bad frame, a still-framed stream: answer and
-                    # keep reading — a wedged read loop would be worse
-                    # than the malformed request.
-                    await self._send(
-                        conn,
-                        {"id": None, "ok": False, "error": "bad_request",
-                         "detail": str(exc)},
-                    )
-                    continue
-                except WireError:
-                    break  # framing broken beyond resync: drop the link
-                if req is None:
-                    break
-                op = req.get("op")
-                rid = req.get("id")
-                if op == "query":
-                    # Per-request task: queries on one connection run
-                    # concurrently, so duplicates actually coalesce.
-                    sub = asyncio.get_running_loop().create_task(
-                        self._answer_query(conn, rid, req)
-                    )
-                    pending.add(sub)
-                    sub.add_done_callback(pending.discard)
-                elif op == "stats":
-                    doc = {
-                        "id": rid, "ok": True,
-                        "stats": self.frontend.stats.snapshot(),
-                        "queue_depth": self.frontend.queue_depth,
-                        "draining": self.frontend.draining,
-                    }
-                    if self.jobs is not None:
-                        doc["jobs"] = dict(self.jobs.totals)
-                    await self._send(conn, doc)
-                elif op == "probe":
-                    await self._send(conn, self._answer_probe(rid, req))
-                elif op == "locate":
-                    await self._send(conn, self._answer_locate(rid, req))
-                elif op in ("submit", "status", "result", "cancel"):
-                    await self._send(conn, self._answer_job(op, rid, req))
-                elif op == "ping":
-                    await self._send(conn, {"id": rid, "ok": True})
-                elif op == "hello" and self.binary_wire:
-                    ack, enable = hello_ack_doc(rid, req, self.binary_wire)
-                    try:
-                        await conn.send_hello_ack(
-                            ack, enable and not conn.binary
-                        )
-                    except (ConnectionResetError, BrokenPipeError):
-                        break
-                elif op == "shutdown":
-                    await self._send(conn, {"id": rid, "ok": True})
-                    self.request_shutdown()
-                else:
-                    # A JSON-only server treats "hello" like any other
-                    # unknown op — that bad_request IS the downgrade
-                    # signal binary-preferring clients key off.
-                    await self._send(
-                        conn,
-                        {"id": rid, "ok": False, "error": "bad_request",
-                         "detail": f"unknown op {op!r}"},
-                    )
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels straggler connections after the drain.
-            # Every accepted request is resolved by then, but its answer
-            # task may not have written yet — flush those before closing
-            # so "drained" means none dropped at the transport either.
-            # (Finishing normally also keeps asyncio's streams helper
-            # from logging the cancellation as a connection error.)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        finally:
-            for sub in pending:
-                sub.cancel()
-            self._conn_tasks.discard(task)
-            writer.close()
-            # CancelledError here is the close-waiter future dying when
-            # a peer link drops mid-teardown, not task cancellation —
-            # and this handler finishes normally on cancellation anyway
-            # (see the except clause above).
-            with contextlib.suppress(
-                ConnectionResetError, BrokenPipeError, OSError,
-                asyncio.CancelledError,
-            ):
-                await writer.wait_closed()
-
-    def _answer_job(self, op: str, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
-        """Handle a job-tier op synchronously; returns the response doc.
+    async def _answer_job(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
+        """Handle a job-tier op inline; returns the response doc.
 
         Job ops never touch the worker pool — they are in-memory state
         plus (for ``submit``/``cancel``) a flushed journal append — so
@@ -289,8 +174,8 @@ class ServeServer:
         is executing.
         """
         if self.jobs is None:
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": "job tier disabled (serve --no-jobs)"}
+            return bad_request(rid, "job tier disabled (serve --no-jobs)")
+        op = req["op"]
         try:
             if op == "submit":
                 tenant = req.get("tenant", "default")
@@ -334,44 +219,25 @@ class ServeServer:
             return {"id": rid, "ok": False, "error": "not_ready",
                     "state": exc.state}
         except KeyError as exc:
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": str(exc).strip("'\"")}
+            return bad_request(rid, str(exc).strip("'\""))
         except (ValueError, TypeError) as exc:
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": str(exc)}
+            return bad_request(rid, str(exc))
         except Exception as exc:  # noqa: BLE001 - transport containment
             return {"id": rid, "ok": False, "error": "internal",
                     "detail": f"{type(exc).__name__}: {exc}"}
 
-    def _answer_locate(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
-        """The redirect protocol's discovery op, answered by a bare
-        backend as a one-node topology: this server is every key's home
-        shard.  Same shape as the router's answer, so a ring-aware
-        client pointed at a single server degenerates cleanly to a
-        plain client (and the wire contract stays endpoint-uniform).
-
-        The advertised address goes on the wire, never the bind host:
-        pre-fix, ``--host 0.0.0.0`` handed ring clients the
+    async def _answer_locate(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
+        """``locate`` as a one-node topology: this server is every key's
+        home shard.  The advertised address goes on the wire, never the
+        bind host: pre-fix, ``--host 0.0.0.0`` handed ring clients the
         unconnectable ``0.0.0.0:<port>``."""
-        from repro.serve.router import topology_epoch
-
         host = self.advertise_host if self.advertise_host else self.host
-        kind = req.get("kind")
-        params = req.get("params")
-        doc: dict[str, Any] = {
-            "id": rid, "ok": True,
-            "epoch": topology_epoch([(self.name, host, self.port)]),
-            "backends": {self.name: [host, self.port]},
-        }
-        if kind is not None or params is not None:
-            if not isinstance(kind, str) or not isinstance(params, dict):
-                return {"id": rid, "ok": False, "error": "bad_request",
-                        "detail": "locate needs a string 'kind' and "
-                        "object 'params' (or neither)"}
-            doc.update(backend=self.name, host=host, port=self.port)
-        return doc
+        return locate_doc(
+            rid, req, topology_epoch([(self.name, host, self.port)]),
+            {self.name: (host, self.port)}, lambda kind, params: self.name,
+        )
 
-    def _answer_probe(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
+    async def _answer_probe(self, rid: Any, req: dict[str, Any]) -> dict[str, Any]:
         """Cluster peer-fill read: the LOCAL cache's answer for a key,
         or a clean miss.  Never computes and never probes further —
         this is the home-shard end of the peer-fill protocol, so any
@@ -380,13 +246,13 @@ class ServeServer:
         kind = req.get("kind")
         params = req.get("params")
         if not isinstance(kind, str) or not isinstance(params, dict):
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": "probe needs a string 'kind' and object 'params'"}
+            return bad_request(
+                rid, "probe needs a string 'kind' and object 'params'"
+            )
         try:
             value = self.frontend.cache_peek(kind, params)
         except ValueError as exc:
-            return {"id": rid, "ok": False, "error": "bad_request",
-                    "detail": str(exc)}
+            return bad_request(rid, str(exc))
         if value is MISS:
             return {"id": rid, "ok": True, "hit": False}
         return {"id": rid, "ok": True, "hit": True, "value": value}
@@ -407,11 +273,9 @@ class ServeServer:
         # permanently skewed the direct-vs-proxied accounting.
         direct = req.get("via") == "direct"
         if not isinstance(kind, str) or not isinstance(params, dict):
-            await self._send(
-                conn,
-                {"id": rid, "ok": False, "error": "bad_request",
-                 "detail": "query needs a string 'kind' and object 'params'"},
-            )
+            await self._send(conn, bad_request(
+                rid, "query needs a string 'kind' and object 'params'"
+            ))
             return
         loop = asyncio.get_running_loop()
         t0 = loop.time()
@@ -426,11 +290,7 @@ class ServeServer:
             )
             return
         except ValueError as exc:
-            await self._send(
-                conn,
-                {"id": rid, "ok": False, "error": "bad_request",
-                 "detail": str(exc)},
-            )
+            await self._send(conn, bad_request(rid, str(exc)))
             return
         except Exception as exc:
             if direct:
@@ -447,12 +307,5 @@ class ServeServer:
             await conn.send_query_response(
                 rid, value, served, loop.time() - t0
             )
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away; the front end still counted the work
-
-    @staticmethod
-    async def _send(conn: WireConnection, doc: dict[str, Any]) -> None:
-        try:
-            await conn.send(doc)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; the front end still counted the work

@@ -472,7 +472,7 @@ class WireConnection:
                         self._pos = 0
                     else:
                         self._pos = end
-                    return self._decode_frame(ftype, payload)
+                    return decode_frame(ftype, payload, self.decode_memo)
             if self._pos:
                 del buf[:self._pos]
                 self._pos = 0
@@ -480,9 +480,6 @@ class WireConnection:
             if not chunk:
                 return None  # EOF (mid-frame or between frames alike)
             buf += chunk
-
-    def _decode_frame(self, ftype: int, payload: bytes) -> dict[str, Any]:
-        return decode_frame(ftype, payload, self.decode_memo)
 
     # -- sending -----------------------------------------------------------
     def _request_bytes(self, doc: dict[str, Any]) -> bytes:
@@ -606,98 +603,3 @@ class WireConnection:
             self.binary = True
         return self.binary
 
-
-def hello_ack_doc(rid: Any, req: dict[str, Any], allow_binary: bool) -> tuple[dict[str, Any], bool]:
-    """Server-side hello negotiation: ``(ack doc, enable binary)``.
-
-    Offers we cannot speak (unknown versions, or binary disabled) are
-    acked with ``"wire": "json"`` — negotiate down, never error: the
-    client keeps working on the compatibility skin.
-    """
-    offered = req.get("wire")
-    if allow_binary and offered == WIRE_BINARY1:
-        return {"id": rid, "ok": True, "wire": WIRE_BINARY1}, True
-    return {"id": rid, "ok": True, "wire": WIRE_JSON}, False
-
-
-# -- synchronous one-shot client helpers ------------------------------------
-
-class SyncWireClient:
-    """Blocking-socket counterpart of :class:`WireConnection` for the
-    one-shot client (:func:`repro.serve.client.request_once`): one
-    buffered reader shared by the JSON and binary paths, so the hello
-    ack and the binary frames that follow never fight over buffering.
-    """
-
-    def __init__(self, sock: Any) -> None:
-        self.sock = sock
-        self.binary = False
-        self._buf = bytearray()
-
-    def _fill(self) -> bool:
-        chunk = self.sock.recv(READ_CHUNK)
-        if not chunk:
-            return False
-        self._buf += chunk
-        return True
-
-    def readline(self) -> bytes:
-        while b"\n" not in self._buf:
-            if not self._fill():
-                break
-        idx = self._buf.find(b"\n")
-        if idx < 0:
-            line, self._buf = bytes(self._buf), bytearray()
-            return line
-        line = bytes(self._buf[: idx + 1])
-        del self._buf[: idx + 1]
-        return line
-
-    def negotiate(self) -> bool:
-        self.sock.sendall(
-            (json.dumps({"op": "hello", "id": 0, "wire": WIRE_BINARY1})
-             + "\n").encode()
-        )
-        line = self.readline()
-        if not line:
-            raise ConnectionError("connection closed during wire negotiation")
-        try:
-            ack = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ConnectionError(f"malformed hello ack: {line!r}") from exc
-        if (
-            isinstance(ack, dict)
-            and ack.get("ok")
-            and ack.get("wire") == WIRE_BINARY1
-        ):
-            self.binary = True
-        return self.binary
-
-    def request(self, doc: dict[str, Any]) -> dict[str, Any]:
-        if self.binary:
-            self.sock.sendall(encode_doc_frame(doc))
-            return self._read_frame()
-        self.sock.sendall((json.dumps(doc) + "\n").encode())
-        line = self.readline()
-        if not line:
-            raise ConnectionError("server closed the connection mid-request")
-        resp = json.loads(line)
-        if not isinstance(resp, dict):
-            raise ValueError(f"malformed response: {line!r}")
-        return resp
-
-    def _read_frame(self) -> dict[str, Any]:
-        while True:
-            if len(self._buf) >= _HEADER.size:
-                magic, ftype, length = _HEADER.unpack_from(self._buf)
-                if magic != MAGIC:
-                    raise ConnectionError(f"bad frame magic 0x{magic:02x}")
-                if length > MAX_FRAME_LEN:
-                    raise ConnectionError(f"frame length {length} over the cap")
-                end = _HEADER.size + length
-                if len(self._buf) >= end:
-                    payload = bytes(self._buf[_HEADER.size:end])
-                    del self._buf[:end]
-                    return decode_frame(ftype, payload, DecodeMemo(max_entries=8))
-            if not self._fill():
-                raise ConnectionError("server closed the connection mid-frame")

@@ -147,6 +147,29 @@ class TestEndToEnd:
         assert report["send_wall_s"] <= report["wall_s"]
 
 
+class TestDirectPath:
+    def test_direct_fleet_against_a_bare_server(self, tmp_path):
+        """A bare server answers ``locate`` as a one-node topology, so
+        the ring client sends every query to it directly."""
+
+        async def scenario():
+            server, run_task = await start_server(tmp_path)
+            report = await run_loadtest_fleet(
+                "127.0.0.1", server.port,
+                n_requests=60, rate=3000.0, seed=4,
+                connections=2, direct=True, shutdown_after=True,
+            )
+            await run_task
+            return report
+
+        report = asyncio.run(scenario())
+        assert report["requests"] == 60
+        assert report["completed"] == 60
+        assert report["errors"] == 0
+        assert report["direct_queries"] == report["requests"]
+        assert report["router_fallbacks"] == 0
+
+
 class TestConnectionLoss:
     """Regression for the loadtest hang: a server dying mid-run used to
     leave unanswered futures pending forever (the gather waited on

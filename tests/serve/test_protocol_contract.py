@@ -455,6 +455,52 @@ class TestWireContract:
         assert all(docs[i]["ok"] for i in docs)
 
 
+#: The protocol vocabulary (``shutdown`` aside: every test ends with
+#: it), each with a well-formed request body.  ``hello`` goes last:
+#: its ack switches the connection to binary.
+PROTOCOL_OPS = {
+    "query": {"kind": "sweep_point", "params": POINT_A},
+    "probe": {"kind": "sweep_point", "params": POINT_A},
+    "stats": {},
+    "locate": {},
+    "ping": {},
+    "submit": {"tenant": "t", "units": []},
+    "status": {},
+    "result": {"job_id": "no-such-job"},
+    "cancel": {"job_id": "no-such-job"},
+    "hello": {"wire": "binary1"},
+}
+
+
+@pytest.mark.parametrize("kind", ENDPOINTS)
+class TestOpVocabulary:
+    """Both endpoints know every op: the server's and the router's op
+    tables must not drift apart."""
+
+    def test_every_op_is_answered(self, tmp_path, kind):
+        async def scenario():
+            ep = await boot_endpoint(kind, tmp_path)
+            reader, writer = await connect(ep.port)
+            docs = {}
+            for rid, (op, body) in enumerate(PROTOCOL_OPS.items()):
+                send(writer, {"op": op, "id": rid, **body})
+                await writer.drain()
+                docs[op] = await recv(reader)
+                assert docs[op]["id"] == rid, (op, docs[op])
+            writer.close()
+            reader, writer = await connect(ep.port)
+            await shutdown_endpoint(ep, reader, writer)
+            return docs
+
+        docs = asyncio.run(scenario())
+        for op, doc in docs.items():
+            assert not str(doc.get("detail", "")).startswith("unknown op"), (
+                op, doc)
+        assert docs["query"]["ok"] and docs["stats"]["ok"]
+        assert docs["probe"]["ok"] and "hit" in docs["probe"]
+        assert docs["hello"] == {"id": 9, "ok": True, "wire": "binary1"}
+
+
 class TestDirectPathByteIdentity:
     """The redirect protocol's core promise: a query routed by the
     client straight to its home shard returns the exact value the
