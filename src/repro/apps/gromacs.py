@@ -23,6 +23,7 @@ import numpy as np
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
 from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi.kahn import run_model
 from repro.mpi.collectives import allreduce
 
 
@@ -144,7 +145,7 @@ class Gromacs(Application):
             else self.config
         )
         world = cluster.subcluster(n_nodes).make_world(workload="particle")
-        result = world.run(_gromacs_rank, cfg)
+        result = run_model(world, _gromacs_rank, cfg)
         wait = sum(s.comm_wait_s for s in result.stats)
         busy = sum(s.compute_s for s in result.stats)
         return AppRunResult(

@@ -18,6 +18,7 @@ exactly how HPL is run in practice.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -73,19 +74,34 @@ def _local_panels(rank: int, p: int, n_panels: int) -> list[int]:
     return [j for j in range(n_panels) if _owner(j, p) == rank]
 
 
-def _trailing_table(rank: int, p: int, cfg: HPLConfig) -> list[int]:
-    """``table[k + 1]`` is the total column width of this rank's local
-    panels strictly right of panel ``k`` — the per-step trailing-update
-    extent.  Integer suffix sums, so each entry equals the naive
-    ``sum(min(nb, n - j*nb) for local j > k)`` exactly; precomputing the
-    table turns the per-panel rescan quadratic in ``n_panels`` into a
-    single linear pass per rank."""
-    n, nb = cfg.n, cfg.nb
-    table = [0] * (cfg.n_panels + 1)
-    for j in range(cfg.n_panels - 1, -1, -1):
-        width = min(nb, n - j * nb) if _owner(j, p) == rank else 0
-        table[j] = table[j + 1] + width
-    return table
+def _local_width(rank: int, p: int, cfg: HPLConfig) -> int:
+    """Total column width of ``rank``'s panels.  Subtracting each owned
+    panel's width as the factorisation passes it leaves the width of the
+    local panels strictly right of the current one — the per-step
+    trailing-update extent, as exact integers."""
+    return sum(
+        min(cfg.nb, cfg.n - j * cfg.nb)
+        for j in range(rank, cfg.n_panels, p)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _bcast_children(size: int) -> tuple[tuple[int, ...], ...]:
+    """``children[vr]``: the virtual ranks ``vr`` forwards to in
+    :func:`~repro.mpi.collectives.bcast` over ``size`` ranks, in send
+    order.  A rank's first forwarding round is the smallest power of two
+    above its virtual rank (round 1 for the root)."""
+    out = []
+    for vr in range(size):
+        mask = 1
+        while mask <= vr:
+            mask <<= 1
+        kids = []
+        while vr + mask < size:
+            kids.append(vr + mask)
+            mask <<= 1
+        out.append(tuple(kids))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +111,19 @@ def _trailing_table(rank: int, p: int, cfg: HPLConfig) -> list[int]:
 def _model_rank(ctx: RankContext, cfg: HPLConfig) -> Generator:
     p = ctx.size
     nb = cfg.nb
-    trailing = _trailing_table(ctx.rank, p, cfg)
+    my_trailing = _local_width(ctx.rank, p, cfg)
     for k in range(cfg.n_panels):
         rows = cfg.n - k * nb
         cur_nb = min(nb, rows)
         owner = _owner(k, p)
         # Panel factorisation on the owner: ~ rows * nb^2 FLOPs.
         if ctx.rank == owner:
+            my_trailing -= cur_nb
             yield ctx.compute_flops(rows * cur_nb * cur_nb)
         # Broadcast the factored panel (L + pivots) to everyone.
         payload = SyntheticPayload(rows * cur_nb * 8 + cur_nb * 4)
         yield from bcast(ctx, payload, root=owner, tag=k % 16)
         # Trailing update on the local column panels right of k.
-        my_trailing = trailing[k + 1]
         if my_trailing:
             # TRSM + GEMM: ~ 2 * rows * nb * local_trailing_cols FLOPs.
             yield ctx.compute_flops(2.0 * rows * cur_nb * my_trailing)
@@ -142,7 +158,7 @@ def _model_rank_lookahead(ctx: RankContext, cfg: HPLConfig) -> Generator:
         return None
 
     current = engine.process(panel_pipeline(0), name=f"panel0.{ctx.rank}")
-    trailing = _trailing_table(ctx.rank, p, cfg)
+    my_trailing = _local_width(ctx.rank, p, cfg)
     for k in range(cfg.n_panels):
         yield current  # panel k factored and received everywhere
         if k + 1 < cfg.n_panels:
@@ -151,7 +167,8 @@ def _model_rank_lookahead(ctx: RankContext, cfg: HPLConfig) -> Generator:
             )
         rows = cfg.n - k * nb
         cur_nb = min(nb, rows)
-        my_trailing = trailing[k + 1]
+        if _owner(k, p) == ctx.rank:
+            my_trailing -= cur_nb
         if my_trailing:
             yield ctx.compute_flops(2.0 * rows * cur_nb * my_trailing)
     return ctx.now
@@ -187,7 +204,10 @@ def _model_schedule(
     nb, n = cfg.nb, cfg.n
     now = [0.0] * size
     stats = [RankStats() for _ in range(size)]
-    trailing = [_trailing_table(r, size, cfg) for r in range(size)]
+    rate = [g * 1e9 for g in gflops]
+    remaining = [_local_width(r, size, cfg) for r in range(size)]
+    children = _bcast_children(size)
+    cost_key = getattr(network, "cost_key", None)
     transfer = network.transfer_time_s
     occupancy = network.sender_occupancy_s
     arrival = [0.0] * size
@@ -197,43 +217,42 @@ def _model_schedule(
         owner = _owner(k, size)
         nbytes = rows * cur_nb * 8 + cur_nb * 4
         # Panel factorisation on the owner.
-        g = gflops[owner]
-        d = (rows * cur_nb * cur_nb) / (g * 1e9)
+        d = (rows * cur_nb * cur_nb) / rate[owner]
         stats[owner].compute_s += d
         now[owner] += d
+        remaining[owner] -= cur_nb
+        # (occupancy, transfer) of this panel's messages, per cost key.
+        costs: dict[Any, tuple[float, float]] = {}
         # Binomial broadcast, parents before children (vrank order).
         for vr in range(size):
             r = (vr + owner) % size
-            if vr == 0:
-                mask = 1
-            else:
-                recv_mask = 1
-                while recv_mask * 2 <= vr:
-                    recv_mask <<= 1
-                t0 = now[r]
+            st = stats[r]
+            t = now[r]
+            if vr:
                 arr = arrival[r]
-                resume = arr if arr > t0 else t0
-                stats[r].comm_wait_s += resume - t0
-                now[r] = resume
-                mask = recv_mask << 1
-            while mask < size:
-                if vr < mask and vr + mask < size:
-                    dst = (vr + mask + owner) % size
-                    occ = occupancy(r, dst, nbytes)
-                    xfer = transfer(r, dst, nbytes)
-                    st = stats[r]
-                    st.messages_sent += 1
-                    st.bytes_sent += nbytes
-                    arrival[dst] = now[r] + xfer
-                    now[r] = now[r] + occ
-                mask <<= 1
+                resume = arr if arr > t else t
+                st.comm_wait_s += resume - t
+                t = resume
+            for child in children[vr]:
+                dst = (child + owner) % size
+                key = cost_key(r, dst) if cost_key else (r, dst)
+                cost = costs.get(key)
+                if cost is None:
+                    cost = costs[key] = (
+                        occupancy(r, dst, nbytes),
+                        transfer(r, dst, nbytes),
+                    )
+                st.messages_sent += 1
+                st.bytes_sent += nbytes
+                arrival[dst] = t + cost[1]
+                t = t + cost[0]
             # Trailing update on this rank's local panels right of k.
-            my_trailing = trailing[r][k + 1]
+            my_trailing = remaining[r]
             if my_trailing:
-                g = gflops[r]
-                d = (2.0 * rows * cur_nb * my_trailing) / (g * 1e9)
-                stats[r].compute_s += d
-                now[r] += d
+                d = (2.0 * rows * cur_nb * my_trailing) / rate[r]
+                st.compute_s += d
+                t += d
+            now[r] = t
     return max(now), stats
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
 from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi.kahn import run_model
 from repro.mpi.collectives import allreduce
 
 
@@ -119,7 +120,7 @@ class Hydro(Application):
             else self.config
         )
         world = cluster.subcluster(n_nodes).make_world(workload="stencil")
-        result = world.run(_hydro_rank, cfg)
+        result = run_model(world, _hydro_rank, cfg)
         wait = sum(s.comm_wait_s for s in result.stats)
         busy = sum(s.compute_s for s in result.stats)
         return AppRunResult(

@@ -20,6 +20,7 @@ from typing import Any, Generator
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
 from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi.kahn import run_model
 from repro.mpi.collectives import allgather, allreduce
 
 
@@ -92,7 +93,7 @@ class PEPC(Application):
             else self.config
         )
         world = cluster.subcluster(n_nodes).make_world(workload="particle")
-        result = world.run(_pepc_rank, cfg)
+        result = run_model(world, _pepc_rank, cfg)
         wait = sum(s.comm_wait_s for s in result.stats)
         busy = sum(s.compute_s for s in result.stats)
         return AppRunResult(

@@ -17,6 +17,7 @@ from typing import Any, Generator
 from repro.apps.base import Application, AppRunResult
 from repro.cluster.cluster import Cluster
 from repro.mpi.api import RankContext, SyntheticPayload
+from repro.mpi.kahn import run_model
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class Specfem3D(Application):
             else self.config
         )
         world = cluster.subcluster(n_nodes).make_world(workload="spectral")
-        result = world.run(_specfem_rank, cfg)
+        result = run_model(world, _specfem_rank, cfg)
         wait = sum(s.comm_wait_s for s in result.stats)
         busy = sum(s.compute_s for s in result.stats)
         return AppRunResult(

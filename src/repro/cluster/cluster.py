@@ -89,6 +89,16 @@ class ClusterNetwork:
             t += per_byte_s * (self.contention_factor - 1.0)
         return t
 
+    def cost_key(self, src: int, dst: int) -> tuple[int, int] | None:
+        """What a message's (occupancy, transfer) depends on besides its
+        size: the sender's stack and the hop count (``None`` for a
+        self-send).  Messages of one size with equal keys cost the same,
+        so a schedule walker can price each key once."""
+        if src == dst:
+            return None
+        leaf = self._leaf
+        return (self._stack_id[src], 1 if leaf[src] == leaf[dst] else 3)
+
     def transfer_time_s(self, src: int, dst: int, nbytes: int) -> float:
         if src == dst:
             return 1e-7

@@ -126,6 +126,9 @@ def payload_nbytes(obj: Any) -> int:
         return 8
     if isinstance(obj, (tuple, list)):
         return sum(payload_nbytes(x) for x in obj) + 8
+    if isinstance(obj, dict):
+        # Values plus an 8-byte key each, in the same envelope as a list.
+        return sum(payload_nbytes(v) + 8 for v in obj.values()) + 8
     if obj is None:
         return 0
     return 64  # envelope estimate for small python objects

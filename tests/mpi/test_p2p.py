@@ -36,6 +36,15 @@ class TestPayloadSizes:
     def test_sequence(self):
         assert payload_nbytes([np.zeros(2), 1.0]) == 16 + 8 + 8
 
+    def test_dict_sized_by_values(self):
+        """Functional HPL gathers ``{panel: block}`` dicts: they cost
+        their values plus an 8-byte key each, in a list's envelope."""
+        block = np.zeros((64, 32))
+        assert payload_nbytes([block]) == 16392
+        assert payload_nbytes({0: block}) == 16384 + 8 + 8
+        assert payload_nbytes({0: block, 3: 1.0}) == 16384 + 8 + 8 + 8 + 8
+        assert payload_nbytes({}) == 8
+
     def test_negative_synthetic_rejected(self):
         with pytest.raises(ValueError):
             SyntheticPayload(-1)

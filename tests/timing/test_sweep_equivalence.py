@@ -248,17 +248,32 @@ class TestSweepEquivalence:
 # Figure 6 app points: analytic fast paths == the discrete-event oracle.
 # ---------------------------------------------------------------------------
 class TestFigure6Equivalence:
+    #: (cluster size, node counts) per app: PEPC's input needs 24 nodes.
+    POINTS = {"PEPC": (48, (24, 48))}
+
+    @staticmethod
+    def _both_paths(app, n_cluster, counts, monkeypatch):
+        fast = [app.simulate(tibidabo(n_cluster), n) for n in counts]
+        monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
+        slow = [app.simulate(tibidabo(n_cluster), n) for n in counts]
+        return fast, slow
+
     @pytest.mark.parametrize("app_name", sorted(APPLICATIONS))
     def test_app_points_match_des_oracle(self, app_name, monkeypatch):
         app = APPLICATIONS[app_name]
-        cluster = tibidabo(16)
-        counts = [n for n in (4, 16) if n >= app.min_nodes(cluster)]
-        if not counts:
-            pytest.skip(f"{app_name} needs more than 16 nodes")
-        fast = [app.simulate(cluster, n) for n in counts]
-        monkeypatch.setenv("REPRO_SCALAR_SWEEP", "1")
-        slow = [app.simulate(tibidabo(16), n) for n in counts]
+        n_cluster, counts = self.POINTS.get(app_name, (16, (4, 16)))
+        counts = [
+            n for n in counts if n >= app.min_nodes(tibidabo(n_cluster))
+        ]
+        assert counts, f"{app_name} runs at no tested node count"
+        fast, slow = self._both_paths(app, n_cluster, counts, monkeypatch)
         assert fast == slow  # AppRunResult dataclasses, exact
+
+    def test_cross_leaf_point_matches_des_oracle(self, monkeypatch):
+        """64 nodes span two 48-port leaves: the 3-hop cost path."""
+        app = APPLICATIONS["SPECFEM3D"]
+        fast, slow = self._both_paths(app, 64, (64,), monkeypatch)
+        assert fast == slow
 
 
 # ---------------------------------------------------------------------------
